@@ -47,9 +47,9 @@ RESUME_VERSION = 1
 
 
 def _coarse_phases(spec: AlgorithmSpec, instance: Instance, **options):
-    """Begin/end checkpoint adapter for algorithms without ``run_iter``.
+    """Begin/end checkpoint adapter for algorithms with a plain runner.
 
-    The legacy runner executes on a budget-stripped instance (a coarse
+    The runner executes on a budget-stripped instance (a coarse
     algorithm cannot stop mid-run, and several legacy entry points
     treat ``max_rounds`` as a hard simulator cap that *raises* on
     overrun); the driver then enforces the budget on the two emitted
@@ -183,12 +183,11 @@ def _solve_stream(spec: AlgorithmSpec, instance: Instance, model: str,
     how coarse algorithms stay (trivially) resumable.
     """
 
-    if spec.run_iter is not None:
+    if spec.anytime == "phases":
         if resume_state is not None:
-            phases = spec.run_iter(instance, resume_state=resume_state,
-                                   **options)
+            phases = spec.run(instance, resume_state=resume_state, **options)
         else:
-            phases = spec.run_iter(instance, **options)
+            phases = spec.run(instance, **options)
     else:
         phases = _coarse_phases(spec, instance, **options)
     budget = instance.max_rounds
@@ -392,7 +391,7 @@ def resume_iter(
         # checkpoint): nothing was executed yet, so a warm start is a
         # deterministic fresh run under the new budget.
         return _solve_stream(spec, instance, model, **options)
-    if spec.run_iter is None:
+    if spec.anytime != "phases":
         raise NotResumable(
             f"algorithm {spec.name!r} has no phase runner: only its "
             "fresh begin state can seed a re-run"

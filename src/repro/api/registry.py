@@ -11,6 +11,7 @@ this table, so adding an algorithm to the library is one
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -39,26 +40,27 @@ class AlgorithmSpec:
     when it needs a bipartite instance).  ``bound`` maps an
     :class:`~repro.api.instance.Instance` to the numeric approximation
     factor guaranteed on it (e.g. ``lambda inst: 2 + inst.eps``), or is
-    ``None`` for heuristics.  ``run`` is the uniform entry point
-    ``run(instance, **options) -> SolveReport``.
+    ``None`` for heuristics.
 
-    ``run_iter``, when set, is the algorithm's *anytime* runner: a
-    generator ``run_iter(instance, **options)`` yielding
-    :class:`~repro.api.Checkpoint` objects at the algorithm's phase
-    boundaries and returning the final report (or ``None`` when a
-    round budget interrupted it cooperatively).  Algorithms without
-    one ride the coarse begin/end adapter in :mod:`repro.api.facade`,
-    so every registry entry is interruptible either way.
+    ``run`` is the entry's one runner, in one of two forms.  A plain
+    function ``run(instance, **options) -> SolveReport`` rides the
+    coarse begin/end adapter in :mod:`repro.api.facade`.  A generator
+    function ``run(instance, **options)`` is the algorithm's *phase*
+    runner: it yields :class:`~repro.api.Checkpoint` objects at the
+    algorithm's phase boundaries and returns the final report (or
+    ``None`` when a round budget interrupted it cooperatively).  Every
+    registry entry is interruptible either way, and :attr:`anytime` is
+    read off the form, so there is no second field to keep in sync.
 
-    ``run_iter`` also defines the algorithm's *resume* capability: a
-    phase-structured runner must accept ``resume_state=`` and continue
-    a truncated run bit-for-bit from a captured checkpoint (the
-    registry-wide contract test in ``tests/api/test_resume.py`` fails
-    any ``run_iter`` entry whose resume path does not reproduce the
-    uncut run) — :attr:`anytime` reports ``"phases"`` for these.
-    Coarse entries report ``"coarse"``: they are still resumable via
-    :func:`repro.api.resume`, but only from the fresh begin state
-    (a warm start is a deterministic re-run from scratch).
+    A phase runner also defines the algorithm's *resume* capability: it
+    must accept ``resume_state=`` and continue a truncated run
+    bit-for-bit from a captured checkpoint (the registry-wide contract
+    test in ``tests/api/test_resume.py`` fails any phase entry whose
+    resume path does not reproduce the uncut run) — :attr:`anytime`
+    reports ``"phases"`` for these.  Coarse entries report
+    ``"coarse"``: they are still resumable via
+    :func:`repro.api.resume`, but only from the fresh begin state (a
+    warm start is a deterministic re-run from scratch).
     """
 
     name: str
@@ -66,7 +68,6 @@ class AlgorithmSpec:
     paper: str                         # paper anchor, e.g. "Theorem 3.2"
     guarantee: str                     # human-readable guarantee
     run: Callable
-    run_iter: Optional[Callable] = None
     cli: Optional[str] = None
     bound: Optional[Callable[[Instance], float]] = None
     weighted: bool = False             # objective is a weight, not a count
@@ -93,9 +94,9 @@ class AlgorithmSpec:
     def anytime(self) -> str:
         """``"phases"`` for real per-phase checkpointing (and per-phase
         resume), ``"coarse"`` for the begin/end adapter (interruptible,
-        restart-only resume)."""
+        restart-only resume); read off the form of :attr:`run`."""
 
-        return "phases" if self.run_iter is not None else "coarse"
+        return "phases" if inspect.isgeneratorfunction(self.run) else "coarse"
 
     def resolve_model(self, instance: Instance) -> str:
         """The model this run executes in (instance override or native)."""

@@ -11,10 +11,15 @@ the time-optimal (2+ε)/(1+ε) matching approximations.
         from repro.api import Instance, solve
         report = solve(Instance(graph, seed=3), "maxis-layers")
 
-    The facade runs the exact same code with the exact same seeds
-    (``tests/api/test_facade_parity.py`` pins bit-for-bit parity) and
-    returns one uniform :class:`repro.api.SolveReport` instead of a
-    per-algorithm result type.
+    For every phase-structured algorithm there is one execution path:
+    the ``*_phases`` generator that the facade drives.  The legacy
+    entry point of such an algorithm (``maxis_local_ratio_layers``,
+    ``maxis_local_ratio_coloring``, ``matching_local_ratio``,
+    ``general_proposal_matching``, …) is a drain of that generator
+    with no per-phase snapshots paid, so the two cannot drift.  The
+    facade returns one uniform :class:`repro.api.SolveReport` instead
+    of a per-algorithm result type, and ``tests/api/test_facade_parity.py``
+    pins its output for every registry entry against recorded goldens.
 """
 
 from .aggregation import (
@@ -187,7 +192,6 @@ __all__ = [
     "optimal_k",
     "paper_k",
     "precision_round_factor",
-    "proposal_matching",
     "random_mis_selector",
     "residual_decay_series",
     "sequential_local_ratio",

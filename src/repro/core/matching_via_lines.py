@@ -16,7 +16,6 @@ that claim.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Set
 
@@ -25,11 +24,16 @@ import networkx as nx
 from ..congest import CongestionAudit, line_graph
 from ..congest.network import CONGEST, SynchronousNetwork
 from ..errors import InvalidInstance, RoundLimitExceeded
-from ..graphs import check_matching, edge_weight, max_node_weight
+from ..graphs import check_matching, edge_weight
 from ..mis.coloring import delta_plus_one_coloring
 from .maxis_coloring import MaxISColoringProgram
 from .maxis_coloring import IN_IS as COLORING_IN_IS
-from .maxis_layers import IN_IS, MaxISLayersProgram
+from .maxis_layers import (
+    IN_IS,
+    MaxISLayersProgram,
+    coloring_round_cap,
+    default_round_budget,
+)
 from .stepwise import stepper_snapshots
 from ..utils import drain
 
@@ -80,11 +84,8 @@ def matching_lines_phases(
     # must truncate at the initial state, not fall back to the default
     # cap (`or` would swallow it).
     if method == "layers":
-        w = max(2, max_node_weight(lg))
-        n = max(2, lg.number_of_nodes())
-        budget = max_rounds if max_rounds is not None else 600 * (
-            (math.ceil(math.log2(n)) + 2) * (math.ceil(math.log2(w)) + 2)
-        )
+        budget = (max_rounds if max_rounds is not None
+                  else default_round_budget(lg))
 
         def factory(e):
             return MaxISLayersProgram(lg.nodes[e].get("weight", 1))
@@ -105,18 +106,16 @@ def matching_lines_phases(
                 neighbor_colors=neighbor_colors,
             )
 
-        budget = max_rounds if max_rounds is not None else (
-            20 * (coloring.palette + 2) + 4 * lg.number_of_nodes()
-        )
+        budget = (max_rounds if max_rounds is not None
+                  else coloring_round_cap(lg, coloring.palette))
         winner_output = COLORING_IN_IS
         run_label = "mwm-2approx-coloring"
         checkpoint_every = 1
     else:
         raise InvalidInstance(f"unknown method {method!r}")
 
-    # Same construction as run_on_line_graph (which matching_local_ratio
-    # uses), unrolled because the audit hook and the stepwise driver
-    # both need the network object.
+    # The network and audit hook of congest.run_on_line_graph, built
+    # here because run_stepwise is called on the network object.
     network = SynchronousNetwork(lg, model=CONGEST, seed=seed)
     if audit is not None:
         def trace(round_index, envelope):
@@ -157,11 +156,6 @@ def matching_lines_phases(
                 "sim": sim}
 
     result = yield from stepper_snapshots(stepper, fold, make_state)
-    if not snapshots:
-        # Fast-drain form: the stepper yielded nothing, so read the
-        # winners off the final outputs (the historical code path).
-        fold((line_node, output)
-             for line_node, output in result.outputs.items())
     check_matching(graph, [tuple(e) for e in matching])
     if not result.completed:
         return None

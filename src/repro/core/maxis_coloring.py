@@ -34,9 +34,11 @@ from ..congest import (
     SynchronousNetwork,
     make_network,
 )
-from ..errors import InvalidInstance
+from ..errors import InvalidInstance, RoundLimitExceeded
 from ..graphs import check_independent_set, node_weight
 from ..mis.coloring import ColoringResult, delta_plus_one_coloring
+from ..utils import drain
+from .maxis_layers import coloring_round_cap
 from .stepwise import stepper_snapshots
 
 IN_IS = "InIS"
@@ -149,7 +151,7 @@ def maxis_coloring_phases(
     coloring: Optional[ColoringResult] = None,
     max_rounds: Optional[int] = None,
     label: str = "maxis-coloring",
-    checkpoint_every: int = 1,
+    checkpoint_every: Optional[int] = 1,
     capture_state: bool = False,
     resume: Optional[dict] = None,
 ):
@@ -172,8 +174,8 @@ def maxis_coloring_phases(
     :func:`~repro.core.maxis_layers.maxis_layers_phases` protocol: the
     final snapshot's ``state`` resumes the run bit-for-bit (the
     coloring itself is deterministic and recomputed, not serialized).
-    Draining with no budget reproduces
-    :func:`maxis_local_ratio_coloring` bit for bit.
+    :func:`maxis_local_ratio_coloring` *is* the drain of this generator
+    (``checkpoint_every=None``: no mid-run snapshots are paid for).
     """
 
     if coloring is None:
@@ -183,7 +185,7 @@ def maxis_coloring_phases(
         network = make_network(graph, seed=0)
     base = coloring.accounted_bek14_rounds
     if max_rounds is None:
-        sim_cap = 20 * (coloring.palette + 2) + 4 * graph.number_of_nodes()
+        sim_cap = coloring_round_cap(graph, coloring.palette)
     else:
         if max_rounds < base and resume is None:
             # The budget cannot even pay for the coloring black box:
@@ -248,33 +250,24 @@ def maxis_local_ratio_coloring(
     max_rounds: Optional[int] = None,
     label: str = "maxis-coloring",
 ) -> MaxISColoringResult:
-    """Run Algorithm 3 on ``graph`` (node attribute ``weight``, default 1)."""
+    """Run Algorithm 3 on ``graph`` (node attribute ``weight``, default 1).
+
+    The fast drain of :func:`maxis_coloring_phases`.  Unlike the
+    generator's accounted budget, ``max_rounds`` here caps the
+    *simulated* local-ratio rounds (default
+    :func:`~repro.core.maxis_layers.coloring_round_cap`); a cap the
+    protocol cannot meet raises :class:`~repro.errors.RoundLimitExceeded`.
+    """
 
     if coloring is None:
         coloring = delta_plus_one_coloring(graph)
-    colors = coloring.colors
-    if network is None:
-        network = make_network(graph, seed=0)
     if max_rounds is None:
-        # Removal needs at most one sweep per color; addition cascades at
-        # most once per color class as well.  Generous constant on top.
-        max_rounds = 20 * (coloring.palette + 2) + 4 * graph.number_of_nodes()
-
-    def factory(node: Hashable) -> MaxISColoringProgram:
-        neighbor_colors = {u: colors[u] for u in graph.neighbors(node)}
-        return MaxISColoringProgram(
-            weight=node_weight(graph, node),
-            color=colors[node],
-            neighbor_colors=neighbor_colors,
-        )
-
-    result = network.run(factory, max_rounds=max_rounds, label=label)
-    chosen = result.output_set(IN_IS)
-    check_independent_set(graph, chosen)
-    total = sum(node_weight(graph, v) for v in chosen)
-    return MaxISColoringResult(
-        independent_set=chosen,
-        weight=total,
-        local_ratio_rounds=result.rounds,
-        coloring=coloring,
-    )
+        max_rounds = coloring_round_cap(graph, coloring.palette)
+    result = drain(maxis_coloring_phases(
+        graph, network=network, coloring=coloring,
+        max_rounds=coloring.accounted_bek14_rounds + max_rounds,
+        label=label, checkpoint_every=None,
+    ))
+    if result is None:
+        raise RoundLimitExceeded(max_rounds)
+    return result

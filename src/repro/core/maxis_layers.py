@@ -48,9 +48,9 @@ from ..congest import (
     SynchronousNetwork,
     make_network,
 )
-from ..errors import InvalidInstance
-from ..graphs import check_independent_set, max_node_weight, node_weight
-from ..utils import geometric_layers
+from ..errors import InvalidInstance, RoundLimitExceeded
+from ..graphs import check_independent_set, max_node_weight
+from ..utils import drain, geometric_layers
 from .stepwise import stepper_snapshots
 
 IN_IS = "InIS"
@@ -235,6 +235,18 @@ def default_round_budget(graph: nx.Graph) -> int:
     )
 
 
+def coloring_round_cap(graph: nx.Graph, palette: int) -> int:
+    """Algorithm 3's cap on simulated local-ratio rounds.
+
+    Removal needs at most one sweep per color and the addition stage
+    cascades at most once per color class as well; a generous constant
+    goes on top.  ``palette`` is the size of the proper coloring the
+    run uses.
+    """
+
+    return 20 * (palette + 2) + 4 * graph.number_of_nodes()
+
+
 def maxis_layers_phases(
     graph: nx.Graph,
     seed: int = 0,
@@ -242,7 +254,7 @@ def maxis_layers_phases(
     max_rounds: Optional[int] = None,
     trace: Optional[LayerTrace] = None,
     label: str = "maxis-layers",
-    checkpoint_every: int = 3,
+    checkpoint_every: Optional[int] = 3,
     capture_state: bool = False,
     resume: Optional[dict] = None,
 ):
@@ -263,8 +275,9 @@ def maxis_layers_phases(
     when the protocol completes, or ``None`` when the ``max_rounds``
     budget interrupts it cooperatively; the last yielded snapshot then
     holds the best partial solution, and no rounds beyond the budget
-    are executed.  Draining the generator with no budget reproduces
-    :func:`maxis_local_ratio_layers` bit for bit.
+    are executed.  :func:`maxis_local_ratio_layers` *is* the drain of
+    this generator (``checkpoint_every=None``: no mid-run snapshots are
+    yielded or paid for), so the two paths cannot drift.
 
     With ``capture_state=True`` the final snapshot's ``state`` holds a
     resume payload (the simulator execution state plus the partial
@@ -278,6 +291,10 @@ def maxis_layers_phases(
         network = make_network(graph, seed=seed)
     if max_rounds is None:
         max_rounds = default_round_budget(graph)
+    # One pass over the node data instead of a node_weight() call per
+    # factory invocation — at n=10^5 the per-call attribute chasing is
+    # measurable against the vectorized backend.
+    weights = dict(graph.nodes(data="weight", default=1))
     chosen: Set[Hashable] = set()
     weight = 0
     sim_state = None
@@ -286,7 +303,7 @@ def maxis_layers_phases(
         weight = resume["weight"]
         sim_state = resume["sim"]
     stepper = network.run_stepwise(
-        lambda node: MaxISLayersProgram(node_weight(graph, node), trace),
+        lambda node: MaxISLayersProgram(weights[node], trace),
         max_rounds=max_rounds,
         label=label,
         stop_on_limit=True,
@@ -300,7 +317,7 @@ def maxis_layers_phases(
         for node, output in newly_halted:
             if output == IN_IS:
                 chosen.add(node)
-                weight += node_weight(graph, node)
+                weight += weights[node]
         return frozenset(chosen), weight
 
     def make_state(rounds, objective, sim):
@@ -328,24 +345,17 @@ def maxis_local_ratio_layers(
     Returns the independent set, the measured round count and the total
     weight of the solution.  The output is validated for independence
     (the Δ-approximation guarantee itself is asserted against exact
-    oracles in the test suite).
+    oracles in the test suite).  This is the fast drain of
+    :func:`maxis_layers_phases`; a ``max_rounds`` the protocol cannot
+    meet raises :class:`~repro.errors.RoundLimitExceeded`.
     """
 
-    if network is None:
-        network = make_network(graph, seed=seed)
     if max_rounds is None:
         max_rounds = default_round_budget(graph)
-    # One pass over the node data instead of a node_weight() call per
-    # factory invocation — at n=10^5 the per-call attribute chasing is
-    # measurable against the vectorized backend.
-    weights = dict(graph.nodes(data="weight", default=1))
-    result = network.run(
-        lambda node: MaxISLayersProgram(weights[node], trace),
-        max_rounds=max_rounds,
-        label=label,
-    )
-    chosen = result.output_set(IN_IS)
-    check_independent_set(graph, chosen)
-    total = sum(weights[v] for v in chosen)
-    return MaxISResult(independent_set=chosen, rounds=result.rounds,
-                       weight=total, trace=trace)
+    result = drain(maxis_layers_phases(
+        graph, seed=seed, network=network, max_rounds=max_rounds,
+        trace=trace, label=label, checkpoint_every=None,
+    ))
+    if result is None:
+        raise RoundLimitExceeded(max_rounds)
+    return result

@@ -28,11 +28,7 @@ from .ledger import MachineLedger, aggregate_ledgers
 from .machine import Machine, build_machines
 from .network import MPCMessage, MPCNetwork
 from .partition import default_topology, partition_nodes
-from .proposal import (
-    mpc_general_proposal_matching,
-    mpc_general_proposal_phases,
-    run_bipartite_proposal,
-)
+from .proposal import mpc_general_proposal_phases, run_bipartite_proposal
 from .sparsify import AdaptiveSparsifier, PeakHoldEstimator, SparsifyStats
 
 __all__ = [
@@ -46,7 +42,6 @@ __all__ = [
     "aggregate_ledgers",
     "build_machines",
     "default_topology",
-    "mpc_general_proposal_matching",
     "mpc_general_proposal_phases",
     "mpc_greedy_mis",
     "partition_nodes",

@@ -241,26 +241,7 @@ def mpc_general_proposal_phases(
     return matching, ledger.total, ledger
 
 
-def mpc_general_proposal_matching(
-    graph: nx.Graph,
-    eps: float = 0.25,
-    k: Optional[int] = None,
-    seed: int = 0,
-    repetitions: Optional[int] = None,
-    network: Optional[MPCNetwork] = None,
-) -> Tuple[Set[frozenset], int, RoundLedger]:
-    """Drained form of :func:`mpc_general_proposal_phases`."""
-
-    from ..utils import drain
-
-    return drain(mpc_general_proposal_phases(
-        graph, eps=eps, k=k, seed=seed, repetitions=repetitions,
-        network=network,
-    ))
-
-
 __all__ = [
-    "mpc_general_proposal_matching",
     "mpc_general_proposal_phases",
     "run_bipartite_proposal",
 ]

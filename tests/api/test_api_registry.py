@@ -1,5 +1,6 @@
 """Tests for the :mod:`repro.api` algorithm registry."""
 
+import inspect
 import json
 
 import pytest
@@ -98,6 +99,21 @@ class TestRegistration:
         assert spec.resolve_model(Instance(weighted_graph)) == "LOCAL"
         with pytest.raises(UnsupportedModel):
             spec.resolve_model(Instance(weighted_graph, model="CONGEST"))
+
+    def test_one_runner_per_entry_and_anytime_read_off_it(self):
+        # Each entry registers exactly one runner; the phase-structured
+        # nine register their generator, and ``anytime`` follows.
+        phased = {
+            "maxis-layers", "maxis-coloring", "maxis-greedy",
+            "matching-lines", "matching-oneeps", "matching-oneeps-congest",
+            "matching-oneeps-bipartite", "matching-proposal",
+            "matching-proposal-bipartite",
+        }
+        for spec in list_algorithms():
+            generator = inspect.isgeneratorfunction(spec.run)
+            assert generator == (spec.name in phased), spec.name
+            assert spec.anytime == ("phases" if generator else "coarse")
+        assert not hasattr(get_algorithm("maxis-layers"), "run_iter")
 
     def test_spec_is_frozen(self):
         spec = get_algorithm("maxis-layers")

@@ -1,53 +1,80 @@
-"""Facade ↔ legacy parity: ``repro.api.solve`` must reproduce every
-legacy entry point bit-for-bit at a fixed seed.
+"""Facade goldens: ``repro.api.solve`` must keep reproducing, bit for
+bit at a fixed seed, what every registry entry's legacy entry point
+returned when the goldens below were recorded.
 
-For each registered :class:`~repro.api.AlgorithmSpec` there is one
-legacy runner below that calls the historical ``repro.core`` /
-``repro.mis`` / ``repro.matching`` function with the same seed; the
-test asserts identical solution sets, objectives, round counts and
-(where the legacy result carries a :class:`~repro.congest.RoundLedger`)
-identical per-phase ledger counts.  A new registry entry without a
-legacy runner fails the completeness test, so parity coverage cannot
-silently rot.
+The goldens were taken from the historical ``repro.core`` /
+``repro.mis`` / ``repro.matching`` functions, called with the same
+seed on the two fixture graphs, and cross-checked against the facade
+on both simulator backends before being pinned.  Each one records a
+digest of the solution set, the objective, the round count, the
+simulator's bit total (``None`` for runs without
+:class:`~repro.congest.NetworkMetrics`) and the per-phase ledger
+counts.  Phase-structured entries and their legacy entry points now
+drain one generator, so comparing the two would compare that
+generator with itself; the goldens are what keeps the output fixed.
+A new registry entry without a golden fails the completeness test.
 """
+
+import hashlib
 
 import pytest
 
 from repro.api import Instance, list_algorithms, solve
-from repro.congest import RoundLedger
-from repro.core import (
-    bipartite_matching_1eps,
-    bipartite_proposal_matching,
-    congest_matching_1eps,
-    fast_matching_2eps,
-    fast_matching_weighted_2eps,
-    general_proposal_matching,
-    greedy_mis,
-    improved_nearly_maximal_is,
-    local_matching_1eps,
-    nearly_maximal_hypergraph_matching,
-    matching_local_ratio,
-    maxis_local_ratio_coloring,
-    maxis_local_ratio_layers,
-    nearly_maximal_matching,
-    weight_group_matching,
-)
 from repro.graphs import (
     assign_edge_weights,
     assign_node_weights,
     gnp_graph,
     random_bipartite_graph,
 )
-from repro.matching import (
-    bipartite_sides,
-    greedy_weighted_matching,
-    israeli_itai_matching,
-    matching_weight,
-)
-from repro.mis import luby_mis
 
 SEED = 11
 EPS = 0.5
+
+#: name -> (solution digest, objective, rounds, bits, ledger counts)
+GOLDEN = {
+    "matching-fast2eps": ("aec8be944f61a18c", 7, 19, None,
+                          {"nmis-on-line-graph": 19, "total": 19}),
+    "matching-fast2eps-weighted": ("564efd4be1b51b7b", 135, 29, None, {
+        "bucketed-parallel-matching": 22, "cross-bucket-filter": 2,
+        "auxiliary-weights": 4, "augment": 1, "total": 29}),
+    "matching-greedy": ("967ea1cd6bb4ad60", 122, 0, None, {}),
+    "matching-groups": ("b862e96e78826d57", 141, 36, None, {
+        "layer-exchange": 2, "maximal-matching": 30, "reduce": 2,
+        "addition": 2, "total": 36}),
+    "matching-hypergraph": ("053ab6cdd7a9986e", 7, 8, None,
+                            {"nmm-iterations": 8, "total": 8}),
+    "matching-israeli-itai": ("11adbb4677bb8bad", 6, 10, 260, {}),
+    "matching-lines": ("5437b40587599bc6", 148, 15, None, {}),
+    "matching-nearly-maximal": ("aec8be944f61a18c", 7, 19, None, {}),
+    "matching-oneeps": ("8b05791e6e8a64b7", 8, 23, None, {
+        "enumerate-l1": 2, "nmm-phase-l1": 10, "flip-l1": 1,
+        "enumerate-l3": 4, "enumerate-l5": 6, "total": 23}),
+    "matching-oneeps-bipartite": ("9cbc58c04dd76c6c", 8, 72, None,
+                                  {"b3-iteration-d1": 72, "total": 72}),
+    "matching-oneeps-congest": ("8a22527cb76fb9be", 8, 950, None, {
+        "stage-bipartition": 8, "b3-iteration-d1": 60,
+        "b3-iteration-d3": 882, "total": 950}),
+    "matching-proposal": ("496694ea1f9c6739", 7, 14, None, {
+        "bipartition": 4, "bipartite-proposals": 10, "total": 14}),
+    "matching-proposal-bipartite": ("fec57160cc4244d7", 7, 5, 196, {}),
+    "maxis-coloring": ("89b0660d2bd01aeb", 132, 15, 439, {}),
+    "maxis-greedy": ("0c9da49cacc723b8", 137, 2, None,
+                     {"priority-exchange": 1, "peel": 1, "total": 2}),
+    "maxis-layers": ("0c9da49cacc723b8", 137, 5, 1710, {}),
+    "mis-luby": ("9f3e3839089d01d8", 10, 6, 1762, {}),
+    "mis-nearly-maximal": ("20e14e97741df998", 10, 16, 1408, {}),
+}
+
+
+def solution_digest(solution) -> str:
+    """Order-free digest of a node set or a set of frozenset edges."""
+
+    items = sorted(
+        repr(sorted(item, key=repr)) if isinstance(item, frozenset)
+        else repr(item)
+        for item in solution
+    )
+    return hashlib.sha256("\n".join(items).encode()).hexdigest()[:16]
 
 
 @pytest.fixture(scope="module")
@@ -65,158 +92,32 @@ def bipartite_graph():
     return g
 
 
-def _legacy_maxis_layers(g):
-    r = maxis_local_ratio_layers(g, seed=SEED)
-    return r.independent_set, r.weight, r.rounds, None
-
-
-def _legacy_maxis_coloring(g):
-    r = maxis_local_ratio_coloring(g)
-    return r.independent_set, r.weight, r.accounted_rounds, None
-
-
-def _legacy_mis_luby(g):
-    mis, rounds = luby_mis(g, seed=SEED)
-    return mis, len(mis), rounds, None
-
-
-def _legacy_matching_lines(g):
-    r = matching_local_ratio(g, method="layers", seed=SEED)
-    return r.matching, r.weight, r.rounds, None
-
-
-def _legacy_matching_groups(g):
-    r = weight_group_matching(g, seed=SEED)
-    return r.matching, r.weight, r.rounds, r.ledger
-
-
-def _legacy_fast2eps(g):
-    r = fast_matching_2eps(g, eps=EPS, seed=SEED)
-    return r.matching, len(r.matching), r.rounds, r.ledger
-
-
-def _legacy_fast2eps_weighted(g):
-    r = fast_matching_weighted_2eps(g, eps=EPS, seed=SEED)
-    return r.matching, r.weight, r.rounds, r.ledger
-
-
-def _legacy_oneeps(g):
-    r = local_matching_1eps(g, eps=EPS, seed=SEED)
-    return r.matching, r.cardinality, r.rounds, r.ledger
-
-
-def _legacy_oneeps_congest(g):
-    r = congest_matching_1eps(g, eps=EPS, seed=SEED)
-    return r.matching, r.cardinality, r.rounds, r.ledger
-
-
-def _legacy_oneeps_bipartite(g):
-    left, right = bipartite_sides(g)
-    ledger = RoundLedger()
-    matching, _deactivated = bipartite_matching_1eps(
-        g, left, right, eps=EPS, seed=SEED, ledger=ledger,
-    )
-    return matching, len(matching), ledger.total, ledger
-
-
-def _legacy_proposal(g):
-    matching, rounds, ledger = general_proposal_matching(
-        g, eps=EPS, seed=SEED,
-    )
-    return matching, len(matching), rounds, ledger
-
-
-def _legacy_proposal_bipartite(g):
-    left, right = bipartite_sides(g)
-    r = bipartite_proposal_matching(g, left, right, eps=EPS, seed=SEED)
-    return r.matching, len(r.matching), r.rounds, None
-
-
-def _legacy_israeli_itai(g):
-    matching, rounds = israeli_itai_matching(g, seed=SEED)
-    return matching, len(matching), rounds, None
-
-
-def _legacy_greedy(g):
-    matching = greedy_weighted_matching(g)
-    return matching, matching_weight(g, matching), 0, None
-
-
-def _legacy_nearly_maximal_matching(g):
-    matching, _unlucky, rounds = nearly_maximal_matching(g, seed=SEED)
-    return matching, len(matching), rounds, None
-
-
-def _legacy_mis_nearly_maximal(g):
-    result = improved_nearly_maximal_is(g, seed=SEED)
-    return (result.independent_set, len(result.independent_set),
-            result.rounds, None)
-
-
-def _legacy_greedy_maxis(g):
-    result = greedy_mis(g)
-    return (result.independent_set, result.weight, result.rounds,
-            result.ledger)
-
-
-def _legacy_hypergraph(g):
-    hyperedges = [frozenset(edge) for edge in sorted(
-        (tuple(sorted(e, key=repr)) for e in g.edges), key=repr)]
-    result = nearly_maximal_hypergraph_matching(
-        hyperedges, rank=2, seed=SEED)
-    matching = frozenset(hyperedges[i] for i in result.matched_edges)
-    return matching, len(matching), result.iterations, None
-
-
-LEGACY = {
-    "maxis-layers": _legacy_maxis_layers,
-    "maxis-coloring": _legacy_maxis_coloring,
-    "mis-luby": _legacy_mis_luby,
-    "matching-lines": _legacy_matching_lines,
-    "matching-groups": _legacy_matching_groups,
-    "matching-fast2eps": _legacy_fast2eps,
-    "matching-fast2eps-weighted": _legacy_fast2eps_weighted,
-    "matching-oneeps": _legacy_oneeps,
-    "matching-oneeps-congest": _legacy_oneeps_congest,
-    "matching-oneeps-bipartite": _legacy_oneeps_bipartite,
-    "matching-proposal": _legacy_proposal,
-    "matching-proposal-bipartite": _legacy_proposal_bipartite,
-    "matching-israeli-itai": _legacy_israeli_itai,
-    "matching-greedy": _legacy_greedy,
-    "matching-nearly-maximal": _legacy_nearly_maximal_matching,
-    "matching-hypergraph": _legacy_hypergraph,
-    "mis-nearly-maximal": _legacy_mis_nearly_maximal,
-    "maxis-greedy": _legacy_greedy_maxis,
-}
-
-
-def test_every_registered_algorithm_has_a_parity_runner():
+def test_every_registered_algorithm_has_a_golden():
     registered = {spec.name for spec in list_algorithms()}
-    assert registered == set(LEGACY), (
-        "registry and parity suite diverged — add a legacy runner for "
-        f"{sorted(registered ^ set(LEGACY))}"
+    assert registered == set(GOLDEN), (
+        "registry and golden table diverged — record a golden for "
+        f"{sorted(registered ^ set(GOLDEN))}"
     )
 
 
-@pytest.mark.parametrize("name", sorted(LEGACY))
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_solve_matches_legacy_entry_point(name, general_graph,
                                           bipartite_graph):
     spec = next(s for s in list_algorithms() if s.name == name)
     graph = bipartite_graph if spec.requires_bipartite else general_graph
-    expected_solution, expected_objective, expected_rounds, ledger = (
-        LEGACY[name](graph)
-    )
+    digest, objective, rounds, bits, ledger = GOLDEN[name]
 
     report = solve(Instance(graph, eps=EPS, seed=SEED), name)
 
-    assert report.solution == frozenset(expected_solution)
-    assert report.objective == expected_objective
-    assert report.rounds == expected_rounds
-    if ledger is not None:
-        assert report.ledger_counts() == ledger.as_dict()
+    assert solution_digest(report.solution) == digest
+    assert report.objective == objective
+    assert report.rounds == rounds
+    assert (report.metrics.bits if report.metrics is not None
+            else None) == bits
+    assert report.ledger_counts() == ledger
 
 
-@pytest.mark.parametrize("name", sorted(LEGACY))
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_solve_is_reproducible(name, general_graph, bipartite_graph):
     spec = next(s for s in list_algorithms() if s.name == name)
     graph = bipartite_graph if spec.requires_bipartite else general_graph

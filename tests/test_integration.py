@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.analysis import approximation_ratio, summarize
-from repro.congest import CONGEST, SynchronousNetwork
+from repro.congest import CONGEST, SynchronousNetwork, make_network
 from repro.core import (
     congest_matching_1eps,
     fast_matching_2eps,
@@ -137,6 +137,26 @@ class TestFailureInjection:
         g = gnp_graph(12, 0.3, seed=1)
         with pytest.raises(RoundLimitExceeded):
             maxis_local_ratio_layers(g, seed=1, max_rounds=1)
+
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_coloring_round_cap_counts_simulated_rounds(self, backend):
+        # Algorithm 3's legacy ``max_rounds`` caps the simulated
+        # local-ratio rounds, not the accounted total with the coloring
+        # charge: the run's own local_ratio_rounds is exactly enough,
+        # one fewer raises.
+        g = assign_node_weights(gnp_graph(30, 0.2, seed=4), 64, seed=5)
+        full = maxis_local_ratio_coloring(
+            g, network=make_network(g, backend=backend))
+        r = full.local_ratio_rounds
+        assert r < full.accounted_rounds
+        capped = maxis_local_ratio_coloring(
+            g, network=make_network(g, backend=backend), max_rounds=r)
+        assert capped.independent_set == full.independent_set
+        assert capped.local_ratio_rounds == r
+        with pytest.raises(RoundLimitExceeded):
+            maxis_local_ratio_coloring(
+                g, network=make_network(g, backend=backend),
+                max_rounds=r - 1)
 
     def test_strict_congest_mode_runs_clean_for_algorithm_2(self):
         """Algorithm 2's messages are O(log n)-bit: strict CONGEST must
